@@ -2,9 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench figures examples cluster-smoke chaos-smoke \
-	accountability-smoke wallclock-smoke profile-soak fabric-smoke \
-	state-smoke all
+# Operational targets of `python -m repro.experiments` (see its --help):
+# every scenario CI runs on every push, plus the profiler.  Each make
+# target is the CLI target of the same name.
+SCENARIOS := throughput-smoke chaos-smoke accountability-smoke \
+	topology-smoke state-smoke wallclock-smoke replay-audit profile-soak
+
+.PHONY: install test lint bench figures examples all $(SCENARIOS)
 
 install:
 	pip install -e . && pip install pytest pytest-benchmark hypothesis
@@ -26,42 +30,7 @@ figures:
 examples:
 	for script in examples/*.py; do $(PYTHON) $$script; done
 
-# 2-worker sharded smoke sweep + one replay-divergence audit (~2 min).
-cluster-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments throughput-smoke \
-		--cluster-workers 2 --run-dir results/cluster-smoke
-	PYTHONPATH=src $(PYTHON) -m repro.experiments replay-audit \
-		--audit-seeds 401
-
-# Fault-storm convergence check with a fault-free twin (docs/CHAOS.md).
-chaos-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments chaos-smoke
-
-# Equivocation storm: every seeded safety violation must end in an
-# attributable on-chain slash, bit-reproducibly across three seeds
-# (docs/ACCOUNTABILITY.md).  Writes BENCH_accountability_smoke.json.
-accountability-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments accountability-smoke
-
-# Wall-clock hot-path gate: a scaled soak must clear the events/sec
-# floor (docs/PERFORMANCE.md).  Writes BENCH_wallclock_smoke.json.
-wallclock-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments wallclock-smoke
-
-# Scaled multi-guest fabric sweep: 1/2-guest star partitioning plus the
-# 2-hop routed transfer, with schema and conservation checks
-# (docs/FABRIC.md).  Writes BENCH_topology_smoke.json.
-fabric-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments topology-smoke
-
-# Sealing-scheduler comparison at smoke scale: every scheduler must
-# land on the same root; rent-aware must hold its live-byte budget
-# (docs/STATE.md).  Writes BENCH_state_smoke.json.
-state-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments state-smoke
-
-# cProfile the soak workload and print the top of the profile.
-profile-soak:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments profile-soak
+$(SCENARIOS):
+	PYTHONPATH=src $(PYTHON) -m repro.experiments $@
 
 all: lint test bench figures

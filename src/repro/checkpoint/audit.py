@@ -175,3 +175,20 @@ def run_replay_audits(seeds: tuple[int, ...] = (401, 402, 403),
         "match": all(audit["match"] for audit in audits),
         "audits": audits,
     }
+
+
+def render_replay_audits(record: dict[str, Any]) -> str:
+    """One verdict line per audited seed."""
+    return "\n\n".join(
+        f"replay-audit seed {audit['config']['seed']}: "
+        f"{'ok' if audit['match'] else 'DIVERGED'} "
+        f"({audit['events_replayed']} events replayed, "
+        f"checkpoint {audit['checkpoint_bytes'] / 1e6:.1f} MB)"
+        for audit in record["audits"])
+
+
+def check_replay_audits(record: dict[str, Any]) -> list[str]:
+    """Every field that diverged, on any seed."""
+    return [f"seed {audit['config']['seed']}: {divergence}"
+            for audit in record["audits"]
+            for divergence in audit["divergences"]]

@@ -270,6 +270,29 @@ class Deployment:
         raise KeyError(f"no validator with index {index}")
 
 
+def open_channels(dep: Deployment, count: int) -> list[tuple[ChannelId, ChannelId]]:
+    """Establish the link, then open ``count - 1`` more transfer channels
+    over its connection; returns every (guest, counterparty) pair.
+
+    Each extra handshake is stepped until the channel opens; one still
+    closed after 3,600 simulated seconds raises.
+    """
+    channels = [dep.establish_link()]
+    for _ in range(count - 1):
+        opened: dict[str, ChannelId] = {}
+        dep.relayer.open_channel(
+            PortId("transfer"), PortId("transfer"),
+            lambda g, c: opened.update(guest=g, cp=c),
+        )
+        deadline = dep.sim.now + 3_600.0
+        while "cp" not in opened and dep.sim.now < deadline:
+            dep.sim.step()
+        if "cp" not in opened:
+            raise RuntimeError("extra channel failed to open")
+        channels.append((opened["guest"], opened["cp"]))
+    return channels
+
+
 def build(config: Optional[DeploymentConfig] = None) -> Deployment:
     """Build a deployment (default: 4 homogeneous validators, fast)."""
     return Deployment(config or DeploymentConfig())

@@ -1,28 +1,32 @@
-"""Command-line harness: regenerate any paper figure from a terminal.
+"""Command-line harness: regenerate any paper figure, or run an
+operational experiment, from a terminal.
 
 Usage::
 
     python -m repro.experiments               # everything (≈1-2 min)
     python -m repro.experiments fig2 fig4     # just those figures
     python -m repro.experiments --duration-hours 48 table1
+    python -m repro.experiments chaos-smoke   # one operational target
 
-Valid targets: fig2 fig3 fig4 fig5 fig6 table1 recv storage all —
-plus the operational targets ``throughput-smoke`` (CI assertions),
-``cluster`` (sharded multi-process sweep), ``replay-audit``
-(checkpoint/restore/replay divergence check), ``chaos-soak`` (the
-docs/CHAOS.md fault storm with its fault-free twin), ``chaos-smoke``
-(the scaled-down asserting variant CI runs), ``accountability-smoke``
-(the docs/ACCOUNTABILITY.md equivocation storm: three seeds, run twice
-each, asserting attributable slashing and bit-reproducibility),
-``state-sweep`` (the multi-million-packet sealing-scheduler comparison
-of docs/STATE.md) and ``state-smoke`` (its CI-scale asserting variant).
+Figure targets: fig2 fig3 fig4 fig5 fig6 table1 recv storage, plus
+``all`` (every figure and the throughput sweep).  The evaluation figures
+share one simulated deployment.
+
+Operational targets, one row of :data:`SCENARIOS` each, run in this
+order.  Each writes its record (``BENCH_*.json``, where named), prints
+its summary, and exits 1 on the first failed check:
+
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import json
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.experiments import report
 from repro.experiments.blocks import BlockIntervalConfig, BlockIntervalRun
@@ -30,23 +34,140 @@ from repro.experiments.evaluation import EvaluationConfig, EvaluationRun
 from repro.experiments.storage import measure_capacity, sealing_ablation
 
 _EVALUATION_TARGETS = {"fig2", "fig3", "fig4", "fig5", "table1", "recv"}
-#: ``throughput-smoke`` is CI-only (scaled-down, asserting) and not part
-#: of ``all``.
+#: What ``all`` expands to; the CI-scale operational targets are not
+#: part of it.
 _ALL_TARGETS = sorted(_EVALUATION_TARGETS | {"fig6", "storage", "throughput"})
-_EXTRA_TARGETS = {"throughput-smoke", "cluster", "replay-audit",
-                  "chaos-soak", "chaos-smoke", "accountability-smoke",
-                  "profile-soak", "wallclock-smoke",
-                  "topology-sweep", "topology-smoke",
-                  "state-sweep", "state-smoke"}
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One operational target: run it, record it, render it, gate it."""
+
+    name: str
+    about: str
+    run: Callable[[argparse.Namespace], dict]
+    render: Callable[[dict], str]
+    #: Failure messages for a record; empty means it passed.
+    check: Callable[[dict], list[str]] | None = None
+    #: Where the record is written, relative to the working directory.
+    artifact: str | None = None
+    #: CI runs it on every push; it has a make target and a CI matrix row.
+    smoke: bool = False
+
+
+def _lazy(path: str) -> Callable:
+    """The function at ``"module:name"`` (under ``repro.``), imported on
+    first call, so importing this CLI or running one target loads no
+    other experiment."""
+    module, name = path.split(":")
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"repro.{module}"), name)(*args, **kwargs)
+    return call
+
+
+def _cluster(args: argparse.Namespace):
+    from repro.cluster import ClusterConfig
+
+    return ClusterConfig(workers=args.cluster_workers, run_dir=args.run_dir,
+                         checkpoint_every_seconds=args.checkpoint_every)
+
+
+def _throughput_smoke(args: argparse.Namespace) -> dict:
+    if args.cluster_workers is None:
+        return _lazy("experiments.throughput:run_throughput_smoke")()
+    return _lazy("cluster:run_cluster_smoke")(cluster=_cluster(args))
+
+
+def _chaos_soak(args: argparse.Namespace) -> dict:
+    from repro.experiments.chaos import ChaosSoakConfig, run_chaos_soak
+
+    return run_chaos_soak(ChaosSoakConfig(seed=args.seed))
+
+
+def _state_sweep(args: argparse.Namespace) -> dict:
+    cluster = None if args.cluster_workers is None else _cluster(args)
+    return _lazy("experiments.state:run_state_sweep")(cluster=cluster)
+
+
+_render_sweep = _lazy("experiments.throughput:render_sweep")
+_render_chaos = _lazy("experiments.chaos:render_chaos")
+_check_chaos = _lazy("experiments.chaos:check_chaos_smoke")
+_render_topology = _lazy("experiments.topology:render_topology")
+_check_topology = _lazy("experiments.topology:check_topology")
+_render_state = _lazy("experiments.state:render_state")
+_check_state = _lazy("experiments.state:check_state")
+
+#: Every operational target, in execution order.  A multi-target call
+#: shares one process and its :mod:`repro.ids` mints, so the order is
+#: part of each record.
+SCENARIOS: tuple[Scenario, ...] = (
+    Scenario("throughput", "offered load vs. sustained pps, batched or not",
+             lambda args: _lazy("experiments.throughput:run_throughput_sweep")(),
+             _render_sweep, artifact="BENCH_throughput.json"),
+    Scenario("throughput-smoke", "the throughput sweep at CI scale (--cluster-workers shards it)",
+             _throughput_smoke, _render_sweep, _lazy("experiments.throughput:check_smoke"),
+             "BENCH_throughput_smoke.json", smoke=True),
+    Scenario("cluster", "the throughput sweep sharded across worker processes",
+             lambda args: _lazy("cluster:run_cluster_sweep")(cluster=_cluster(args)),
+             _render_sweep, artifact="BENCH_throughput.json"),
+    Scenario("chaos-soak", "the docs/CHAOS.md fault storm with its fault-free twin",
+             _chaos_soak, _render_chaos, _check_chaos, "BENCH_chaos.json"),
+    Scenario("chaos-smoke", "the chaos soak at CI scale",
+             lambda args: _lazy("experiments.chaos:run_chaos_smoke")(seed=args.seed),
+             _render_chaos, _check_chaos, "BENCH_chaos_smoke.json", smoke=True),
+    Scenario("accountability-smoke", "equivocation storm, 3 seeds x 2 runs (ACCOUNTABILITY.md)",
+             lambda args: _lazy("experiments.accountability:run_accountability_smoke")(),
+             _lazy("experiments.accountability:render_accountability"),
+             _lazy("experiments.accountability:check_accountability_smoke"),
+             "BENCH_accountability_smoke.json", smoke=True),
+    Scenario("topology-sweep", "multi-guest fabric stars and a 2-hop route (docs/FABRIC.md)",
+             lambda args: _lazy("experiments.topology:run_topology_sweep")(),
+             _render_topology, _check_topology, "BENCH_topology.json"),
+    Scenario("topology-smoke", "the topology sweep at CI scale",
+             lambda args: _lazy("experiments.topology:run_topology_smoke")(seed=args.seed),
+             _render_topology, _check_topology, "BENCH_topology_smoke.json", smoke=True),
+    Scenario("state-sweep", "sealing schedulers over 1M packets (docs/STATE.md)",
+             _state_sweep, _render_state, _check_state, "BENCH_state.json"),
+    Scenario("state-smoke", "the state sweep at CI scale",
+             lambda args: _lazy("experiments.state:run_state_smoke")(seed=args.seed),
+             _render_state, _check_state, "BENCH_state_smoke.json", smoke=True),
+    Scenario("profile-soak", "cProfile the soak workload (--profile-* options)",
+             lambda args: _lazy("experiments.profiling:run_profile_soak")(
+                 args.profile_packets, args.profile_sort, args.profile_lines),
+             _lazy("experiments.profiling:render_profile_soak")),
+    Scenario("wallclock-smoke", "soak events/s of wall time floor (docs/PERFORMANCE.md)",
+             lambda args: _lazy("experiments.profiling:run_wallclock_smoke")(),
+             _lazy("experiments.profiling:render_wallclock_smoke"),
+             _lazy("experiments.profiling:check_wallclock_smoke"),
+             "BENCH_wallclock_smoke.json", smoke=True),
+    Scenario("replay-audit", "checkpoint/restore/replay divergence (docs/CHECKPOINT.md)",
+             lambda args: _lazy("checkpoint.audit:run_replay_audits")(
+                 seeds=tuple(args.audit_seeds)),
+             _lazy("checkpoint.audit:render_replay_audits"),
+             _lazy("checkpoint.audit:check_replay_audits"),
+             "BENCH_replay_audit.json", smoke=True),
+)
+
+
+def _target_list() -> str:
+    return "".join(f"  {row.name:<22}{row.about}\n" for row in SCENARIOS)
+
+
+__doc__ = (__doc__ or "") + _target_list()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
-        description="Regenerate the paper's tables and figures.",
+        description="Regenerate the paper's tables and figures, or run an "
+                    "operational experiment.",
+        epilog="operational targets:\n" + _target_list(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("targets", nargs="*", default=["all"],
-                        help=f"any of: {' '.join(_ALL_TARGETS)} all")
+                        help="any of: fig2 fig3 fig4 fig5 fig6 recv storage "
+                             "table1 all, or an operational target below")
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--duration-hours", type=float, default=24.0,
                         help="length of the simulated evaluation deployment")
@@ -71,17 +192,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="profile-soak stats sort key")
     parser.add_argument("--profile-lines", type=int, default=30,
                         help="profile-soak stats rows to print")
-    parser.add_argument("--wallclock-packets", type=int, default=1_500,
-                        help="soak scale for the wallclock-smoke target")
-    parser.add_argument("--wallclock-floor", type=float, default=500.0,
-                        help="events/sec of wall time the wallclock-smoke "
-                             "target asserts (generous: CI machines vary)")
     args = parser.parse_args(argv)
 
     targets = set(args.targets) or {"all"}
     if "all" in targets:
         targets = set(_ALL_TARGETS)
-    unknown = targets - set(_ALL_TARGETS) - _EXTRA_TARGETS
+    unknown = targets - set(_ALL_TARGETS) - {row.name for row in SCENARIOS}
     if unknown:
         parser.error(f"unknown targets: {', '.join(sorted(unknown))}")
 
@@ -120,236 +236,22 @@ def main(argv: list[str] | None = None) -> int:
     if "storage" in targets:
         blocks.append(report.render_storage(measure_capacity(), sealing_ablation()))
 
-    if targets & {"throughput", "throughput-smoke"}:
-        import json
-
-        from repro.experiments.throughput import (
-            check_smoke, render_sweep, run_throughput_smoke,
-            run_throughput_sweep,
-        )
-        smoke = "throughput-smoke" in targets
+    for scenario in SCENARIOS:
+        if scenario.name not in targets:
+            continue
         started = time.time()
-        print("Running the throughput sweep"
-              + (" (smoke scale)" if smoke else "") + "...", file=sys.stderr)
-        if smoke and args.cluster_workers is not None:
-            from repro.cluster import ClusterConfig, run_cluster_smoke
-
-            results = run_cluster_smoke(cluster=ClusterConfig(
-                workers=args.cluster_workers,
-                run_dir=args.run_dir,
-                checkpoint_every_seconds=args.checkpoint_every,
-            ))
-        else:
-            results = run_throughput_smoke() if smoke else run_throughput_sweep()
+        print(f"Running {scenario.name}...", file=sys.stderr)
+        record = scenario.run(args)
         print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_sweep(results))
-        suffix = "_smoke" if smoke else ""
-        with open(f"BENCH_throughput{suffix}.json", "w") as handle:
-            json.dump(results, handle, indent=2)
-        if smoke:
-            failures = check_smoke(results)
-            if failures:
-                print("\n\n".join(blocks))
-                for failure in failures:
-                    print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
-                return 1
-
-    if "cluster" in targets:
-        import json
-
-        from repro.cluster import ClusterConfig, run_cluster_sweep
-        from repro.experiments.throughput import render_sweep
-
-        started = time.time()
-        print("Running the sharded throughput sweep...", file=sys.stderr)
-        results = run_cluster_sweep(cluster=ClusterConfig(
-            workers=args.cluster_workers,
-            run_dir=args.run_dir,
-            checkpoint_every_seconds=args.checkpoint_every,
-        ))
-        info = results["cluster"]
-        print(f"  done in {time.time() - started:.1f} s "
-              f"({info['workers']} workers)", file=sys.stderr)
-        blocks.append(render_sweep(results))
-        with open("BENCH_throughput.json", "w") as handle:
-            json.dump(results, handle, indent=2)
-
-    if targets & {"chaos-soak", "chaos-smoke"}:
-        import json
-
-        from repro.experiments.chaos import (
-            ChaosSoakConfig, check_chaos_smoke, render_chaos,
-            run_chaos_smoke, run_chaos_soak,
-        )
-        smoke = "chaos-smoke" in targets
-        started = time.time()
-        print("Running the chaos soak"
-              + (" (smoke scale)" if smoke else "") + "...", file=sys.stderr)
-        record = (run_chaos_smoke(seed=args.seed) if smoke
-                  else run_chaos_soak(ChaosSoakConfig(seed=args.seed)))
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_chaos(record))
-        suffix = "_smoke" if smoke else ""
-        with open(f"BENCH_chaos{suffix}.json", "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        failures = check_chaos_smoke(record)
+        if scenario.artifact:
+            with open(scenario.artifact, "w") as handle:
+                json.dump(record, handle, indent=2, sort_keys=True)
+        blocks.append(scenario.render(record))
+        failures = scenario.check(record) if scenario.check else []
         if failures:
             print("\n\n".join(blocks))
             for failure in failures:
-                print(f"CHAOS FAILURE: {failure}", file=sys.stderr)
-            return 1
-
-    if "accountability-smoke" in targets:
-        import json
-
-        from repro.experiments.accountability import (
-            check_accountability_smoke, render_accountability,
-            run_accountability_smoke,
-        )
-        started = time.time()
-        print("Running the accountability smoke (equivocation storm, "
-              "3 seeds x 2 runs)...", file=sys.stderr)
-        record = run_accountability_smoke()
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_accountability(record))
-        with open("BENCH_accountability_smoke.json", "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        failures = check_accountability_smoke(record)
-        if failures:
-            print("\n\n".join(blocks))
-            for failure in failures:
-                print(f"ACCOUNTABILITY FAILURE: {failure}", file=sys.stderr)
-            return 1
-
-    if targets & {"topology-sweep", "topology-smoke"}:
-        import json
-
-        from repro.experiments.topology import (
-            check_topology, render_topology, run_topology_smoke,
-            run_topology_sweep,
-        )
-        smoke = "topology-smoke" in targets
-        started = time.time()
-        print("Running the topology sweep"
-              + (" (smoke scale)" if smoke else "") + "...", file=sys.stderr)
-        record = (run_topology_smoke(seed=args.seed) if smoke
-                  else run_topology_sweep())
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_topology(record))
-        suffix = "_smoke" if smoke else ""
-        with open(f"BENCH_topology{suffix}.json", "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        failures = check_topology(record)
-        if failures:
-            print("\n\n".join(blocks))
-            for failure in failures:
-                print(f"TOPOLOGY FAILURE: {failure}", file=sys.stderr)
-            return 1
-
-    if targets & {"state-sweep", "state-smoke"}:
-        import json
-
-        from repro.experiments.state import (
-            check_state, render_state, run_state_smoke, run_state_sweep,
-        )
-        smoke = "state-smoke" in targets
-        started = time.time()
-        print("Running the state sweep"
-              + (" (smoke scale)" if smoke else "") + "...", file=sys.stderr)
-        if smoke:
-            record = run_state_smoke(seed=args.seed)
-        else:
-            cluster = None
-            if args.cluster_workers is not None:
-                from repro.cluster import ClusterConfig
-
-                cluster = ClusterConfig(
-                    workers=args.cluster_workers,
-                    run_dir=args.run_dir,
-                    checkpoint_every_seconds=args.checkpoint_every,
-                )
-            record = run_state_sweep(cluster=cluster)
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_state(record))
-        suffix = "_smoke" if smoke else ""
-        with open(f"BENCH_state{suffix}.json", "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        failures = check_state(record)
-        if failures:
-            print("\n\n".join(blocks))
-            for failure in failures:
-                print(f"STATE FAILURE: {failure}", file=sys.stderr)
-            return 1
-
-    if "profile-soak" in targets:
-        from repro.experiments.profiling import (
-            SoakConfig, profile_soak, render_soak_result,
-        )
-
-        config = SoakConfig(packets=args.profile_packets)
-        print(f"Profiling the soak workload ({config.packets} packets)...",
-              file=sys.stderr)
-        result, table = profile_soak(
-            config, sort=args.profile_sort, lines=args.profile_lines)
-        blocks.append(render_soak_result(result, title="profile-soak"))
-        blocks.append(table.rstrip())
-
-    if "wallclock-smoke" in targets:
-        import json
-
-        from repro.experiments.profiling import (
-            SoakConfig, render_soak_result, run_soak,
-        )
-
-        config = SoakConfig(packets=args.wallclock_packets)
-        started = time.time()
-        print(f"Running the wall-clock smoke soak "
-              f"({config.packets} packets)...", file=sys.stderr)
-        result = run_soak(config)
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_soak_result(result, title="wallclock-smoke"))
-        payload = {
-            "packets": config.packets,
-            "floor_events_per_sec": args.wallclock_floor,
-            **result.to_json(),
-        }
-        with open("BENCH_wallclock_smoke.json", "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        if result.outstanding:
-            print("\n\n".join(blocks))
-            print(f"WALLCLOCK FAILURE: {result.outstanding} packets "
-                  f"never delivered", file=sys.stderr)
-            return 1
-        if result.events_per_sec < args.wallclock_floor:
-            print("\n\n".join(blocks))
-            print(f"WALLCLOCK FAILURE: {result.events_per_sec:.0f} events/s "
-                  f"wall is below the {args.wallclock_floor:.0f} floor",
-                  file=sys.stderr)
-            return 1
-
-    if "replay-audit" in targets:
-        import json
-
-        from repro.checkpoint.audit import run_replay_audits
-
-        started = time.time()
-        print(f"Running the replay-divergence audit "
-              f"(seeds {args.audit_seeds})...", file=sys.stderr)
-        audit = run_replay_audits(seeds=tuple(args.audit_seeds))
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        with open("BENCH_replay_audit.json", "w") as handle:
-            json.dump(audit, handle, indent=2)
-        for record in audit["audits"]:
-            verdict = "ok" if record["match"] else "DIVERGED"
-            blocks.append(
-                f"replay-audit seed {record['config']['seed']}: {verdict} "
-                f"({record['events_replayed']} events replayed, "
-                f"checkpoint {record['checkpoint_bytes'] / 1e6:.1f} MB)")
-        if not audit["match"]:
-            print("\n\n".join(blocks))
-            for record in audit["audits"]:
-                for divergence in record["divergences"]:
-                    print(f"AUDIT DIVERGENCE: {divergence}", file=sys.stderr)
+                print(f"{scenario.name} FAILURE: {failure}", file=sys.stderr)
             return 1
 
     print("\n\n".join(blocks))

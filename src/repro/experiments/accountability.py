@@ -11,7 +11,7 @@ serialisations compared byte for byte.
 
 ``python -m repro.experiments accountability-smoke`` writes
 ``BENCH_accountability_smoke.json``; ``make accountability-smoke`` and
-the CI job wrap that.
+the CI smoke matrix run that.
 """
 
 from __future__ import annotations
@@ -92,7 +92,10 @@ def check_accountability_smoke(record: dict) -> list[str]:
         for failure in check_chaos_smoke(inner):
             failures.append(f"seed {seed}: {failure}")
         accountability = inner.get("accountability", {})
-        if accountability.get("slashes_attributed", 0) < 1:
+        slashes = accountability.get("slashes_attributed")
+        if not isinstance(slashes, int):
+            failures.append(f"seed {seed}: slashes_attributed is not an int")
+        elif slashes < 1:
             failures.append(f"seed {seed}: no attributed slashes")
         if accountability.get("seeded_equivocations", 0) < 1:
             failures.append(f"seed {seed}: storm seeded no equivocation")

@@ -23,11 +23,10 @@ import cProfile
 import io
 import pstats
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from repro.deployment import Deployment, DeploymentConfig
+from repro.deployment import Deployment, DeploymentConfig, open_channels
 from repro.guest.config import GuestConfig
-from repro.ibc.identifiers import PortId
 from repro.relayer.relayer import RelayerConfig
 from repro.validators.profiles import simple_profiles
 from repro.workload import WorkloadEngine, WorkloadSpec
@@ -35,7 +34,8 @@ from repro.workload import WorkloadEngine, WorkloadSpec
 
 @dataclass(frozen=True)
 class SoakConfig:
-    """The soak workload shape (mirrors tests/test_workload_soak.py).
+    """The soak workload shape (tests/test_workload_soak.py runs the
+    default).
 
     ``packets`` scales the run: the offered rate stays fixed at the
     soak's 40 pps and the sending window stretches to fit, so a scaled
@@ -103,20 +103,7 @@ def build_soak(config: SoakConfig):
         profiles=simple_profiles(4),
         tracing=config.tracing,
     ))
-    channels = [dep.establish_link()]
-    for _ in range(config.channels - 1):
-        opened: dict = {}
-        dep.relayer.open_channel(
-            PortId("transfer"), PortId("transfer"),
-            lambda g, c: opened.update(guest=g, cp=c),
-        )
-        deadline = dep.sim.now + 3_600.0
-        while "cp" not in opened and dep.sim.now < deadline:
-            dep.sim.step()
-        if "cp" not in opened:
-            raise RuntimeError("extra channel failed to open")
-        channels.append((opened["guest"], opened["cp"]))
-    engine = WorkloadEngine(dep, channels, WorkloadSpec(
+    engine = WorkloadEngine(dep, open_channels(dep, config.channels), WorkloadSpec(
         mode="open-constant",
         offered_pps=config.offered_pps,
         duration=config.duration,
@@ -126,13 +113,24 @@ def build_soak(config: SoakConfig):
     return dep, engine
 
 
-def run_soak(config: SoakConfig) -> SoakResult:
-    """Run the soak workload once and time it (no profiler overhead)."""
+def run_soak(config: SoakConfig,
+             profiler: cProfile.Profile | None = None) -> SoakResult:
+    """Run the soak workload once and time it.
+
+    A ``profiler`` is attached only around the workload run itself —
+    deployment construction and channel handshakes are excluded, so its
+    table reflects the steady-state packet pipeline the optimisation
+    work targets.
+    """
     dep, engine = build_soak(config)
     events_before = dep.sim.dispatched_events()
     sim_before = dep.sim.now
     started = time.perf_counter()
+    if profiler is not None:
+        profiler.enable()
     engine.run()
+    if profiler is not None:
+        profiler.disable()
     wall = time.perf_counter() - started
     return SoakResult(
         sent=engine.sent,
@@ -144,38 +142,6 @@ def run_soak(config: SoakConfig) -> SoakResult:
     )
 
 
-def profile_soak(config: SoakConfig, sort: str = "cumulative",
-                 lines: int = 30) -> tuple[SoakResult, str]:
-    """Run the soak under :mod:`cProfile`; return (result, profile table).
-
-    The profiler is attached only around the workload run itself —
-    deployment construction and channel handshakes are excluded, so the
-    table reflects the steady-state packet pipeline the optimisation
-    work targets.
-    """
-    dep, engine = build_soak(config)
-    events_before = dep.sim.dispatched_events()
-    sim_before = dep.sim.now
-    profiler = cProfile.Profile()
-    started = time.perf_counter()
-    profiler.enable()
-    engine.run()
-    profiler.disable()
-    wall = time.perf_counter() - started
-    result = SoakResult(
-        sent=engine.sent,
-        delivered=engine.delivered,
-        outstanding=engine.outstanding(),
-        events_dispatched=dep.sim.dispatched_events() - events_before,
-        wall_seconds=wall,
-        simulated_seconds=dep.sim.now - sim_before,
-    )
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.strip_dirs().sort_stats(sort).print_stats(lines)
-    return result, buffer.getvalue()
-
-
 def render_soak_result(result: SoakResult, title: str = "soak") -> str:
     return (
         f"{title}: {result.delivered}/{result.sent} packets delivered, "
@@ -184,3 +150,60 @@ def render_soak_result(result: SoakResult, title: str = "soak") -> str:
         f"{result.packets_per_sec:,.1f} packets/s wall; "
         f"{result.simulated_seconds:,.0f} simulated s)"
     )
+
+
+def _render_record(record: dict, title: str) -> str:
+    return render_soak_result(
+        SoakResult(**{field.name: record[field.name]
+                      for field in fields(SoakResult)}),
+        title=title)
+
+
+def run_profile_soak(packets: int, sort: str = "cumulative",
+                     lines: int = 30) -> dict:
+    """The profile-soak record: the soak summary plus the top ``lines``
+    rows of its profile, ordered by ``sort``."""
+    profiler = cProfile.Profile()
+    result = run_soak(SoakConfig(packets=packets), profiler)
+    table = io.StringIO()
+    pstats.Stats(profiler, stream=table).strip_dirs().sort_stats(sort).print_stats(lines)
+    return {"packets": packets, **result.to_json(), "profile": table.getvalue()}
+
+
+def render_profile_soak(record: dict) -> str:
+    return (f"{_render_record(record, 'profile-soak')}\n\n"
+            f"{record['profile'].rstrip()}")
+
+
+#: The wallclock-smoke gate: a soak of this many packets must clear the
+#: floor, in events per second of wall time (generous: CI machines vary).
+WALLCLOCK_PACKETS = 1_500
+WALLCLOCK_FLOOR_EVENTS_PER_SEC = 500.0
+
+
+def run_wallclock_smoke() -> dict:
+    """The wallclock-smoke record: one timed soak, plus the floor it must
+    clear."""
+    result = run_soak(SoakConfig(packets=WALLCLOCK_PACKETS))
+    return {
+        "packets": WALLCLOCK_PACKETS,
+        "floor_events_per_sec": WALLCLOCK_FLOOR_EVENTS_PER_SEC,
+        **result.to_json(),
+    }
+
+
+def check_wallclock_smoke(record: dict) -> list[str]:
+    """Every packet delivered, and the events/s floor cleared."""
+    failures = []
+    if record["outstanding"]:
+        failures.append(
+            f"{record['outstanding']} packets never delivered")
+    if record["events_per_sec"] < record["floor_events_per_sec"]:
+        failures.append(
+            f"{record['events_per_sec']:.0f} events/s wall is below the "
+            f"{record['floor_events_per_sec']:.0f} floor")
+    return failures
+
+
+def render_wallclock_smoke(record: dict) -> str:
+    return _render_record(record, "wallclock-smoke")

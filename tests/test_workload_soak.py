@@ -10,50 +10,18 @@ means some relayer flow started and never finished).
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
-from repro.guest.config import GuestConfig
-from repro.ibc.identifiers import PortId
-from repro.relayer.relayer import RelayerConfig
-from repro.validators.profiles import simple_profiles
-from repro.workload import WorkloadEngine, WorkloadSpec
+from repro.experiments.profiling import SoakConfig, build_soak
 
 CHANNELS = 3
-OFFERED_PPS = 40.0
-DURATION = 250.0  # 40 pps * 250 s = 10_000 packets
 AMOUNT = 3
 
 
 @pytest.fixture(scope="module")
 def soak():
-    dep = Deployment(DeploymentConfig(
-        seed=29,
-        guest=GuestConfig(delta_seconds=120.0, min_stake_lamports=1),
-        relayer=RelayerConfig(batch_max_packets=32, batch_flush_seconds=2.0),
-        profiles=simple_profiles(4),
-        tracing=True,
-    ))
-    channels = [dep.establish_link()]
-    for _ in range(CHANNELS - 1):
-        opened: dict = {}
-        dep.relayer.open_channel(
-            PortId("transfer"), PortId("transfer"),
-            lambda g, c: opened.update(guest=g, cp=c),
-        )
-        deadline = dep.sim.now + 3_600.0
-        while "cp" not in opened and dep.sim.now < deadline:
-            dep.sim.step()
-        assert "cp" in opened, "extra channel failed to open"
-        channels.append((opened["guest"], opened["cp"]))
-
-    engine = WorkloadEngine(dep, channels, WorkloadSpec(
-        mode="open-constant",
-        offered_pps=OFFERED_PPS,
-        duration=DURATION,
-        amount=AMOUNT,
-        drain_seconds=1_800.0,
-    ))
+    # 3 channels, 40 pps for 250 s (10k packets), batches of 32, seed 29.
+    dep, engine = build_soak(SoakConfig())
     report = engine.run()
-    return dep, channels, engine, report
+    return dep, engine.channels, engine, report
 
 
 def test_every_packet_delivered_exactly_once(soak):
