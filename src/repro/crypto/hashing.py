@@ -10,14 +10,22 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 DIGEST_SIZE = 32
 
 
 @dataclass(frozen=True, slots=True)
 class Hash:
-    """An immutable 32-byte SHA-256 digest."""
+    """An immutable 32-byte SHA-256 digest.
+
+    ``Hash(...)`` validates its argument: it is the constructor for
+    bytes that arrive from outside (decoders, fault injection, lookups).
+    Digests this module computes itself are wrapped by
+    :func:`_wrap_digest` instead, which skips the check because SHA-256
+    output is 32 bytes by construction.
+    """
 
     value: bytes
 
@@ -31,15 +39,15 @@ class Hash:
     @classmethod
     def of(cls, data: bytes) -> "Hash":
         """Hash ``data`` and wrap the digest."""
-        return cls(hashlib.sha256(data).digest())
+        return _wrap_digest(hashlib.sha256(data).digest())
 
     @classmethod
     def zero(cls) -> "Hash":
         """The all-zeros digest, used as the empty-trie commitment.
 
         Returns a shared singleton: zero hashes are compared and embedded
-        millions of times per run (every empty branch slot), and
-        ``Hash`` construction pays a validation check each call.
+        millions of times per run (every empty branch slot), so one
+        instance serves them all.
         """
         return _ZERO_HASH
 
@@ -57,12 +65,35 @@ class Hash:
         return f"Hash({self.short()}…)"
 
 
+_new_hash = object.__new__
+_set_value = Hash.__dict__["value"].__set__
+
+
+def _wrap_digest(digest: bytes) -> Hash:
+    """Wrap a fresh SHA-256 ``digest`` without re-validating it.
+
+    Only for digests computed in this module: they are 32 bytes by
+    construction, so the check ``Hash(...)`` runs would be pure
+    overhead on the trie rehash path.  The result is an ordinary
+    ``Hash``: equal to, and hashing like, ``Hash(digest)``.
+    """
+    wrapped = _new_hash(Hash)
+    _set_value(wrapped, digest)
+    return wrapped
+
+
 _ZERO_HASH = Hash(bytes(DIGEST_SIZE))
 
 #: Interned length prefixes for the common short parts (tags, digests,
 #: small values) so :func:`hash_concat` avoids an ``int.to_bytes`` per
 #: part on the trie/commitment hot path.
 _LEN_PREFIXES = tuple(n.to_bytes(4, "big") for n in range(256))
+_DIGEST_PREFIX = _LEN_PREFIXES[DIGEST_SIZE]
+_digest_bytes = attrgetter("value")
+
+
+def _len_prefix(size: int) -> bytes:
+    return _LEN_PREFIXES[size] if size < 256 else size.to_bytes(4, "big")
 
 
 def hash_bytes(data: bytes) -> Hash:
@@ -84,11 +115,30 @@ def hash_concat(*parts: bytes | Hash) -> Hash:
     pieces: list[bytes] = []
     append = pieces.append
     for part in parts:
-        raw = part.value if type(part) is Hash else bytes(part)
-        size = len(raw)
+        if type(part) is not bytes:
+            part = part.value if type(part) is Hash else bytes(part)
+        size = len(part)
         append(_LEN_PREFIXES[size] if size < 256 else size.to_bytes(4, "big"))
-        append(raw)
-    return Hash(hashlib.sha256(b"".join(pieces)).digest())
+        append(part)
+    return _wrap_digest(hashlib.sha256(b"".join(pieces)).digest())
+
+
+def hash_digests(tag: bytes, digests: Sequence[Hash], tail: bytes) -> Hash:
+    """``hash_concat(tag, *digests, tail)``, assembled in one C-level join.
+
+    The preimage is byte-for-byte the one :func:`hash_concat` builds:
+    every digest is 32 bytes, so its length prefix is the constant
+    ``00000020`` and the digests join with that prefix as separator.
+    Trie branch hashes (16 child digests between a tag and the branch
+    value) take this path, both when the trie rehashes and when a proof
+    verifier folds a branch step.
+    """
+    return _wrap_digest(hashlib.sha256(b"".join((
+        _len_prefix(len(tag)), tag,
+        _DIGEST_PREFIX if digests else b"",
+        _DIGEST_PREFIX.join(map(_digest_bytes, digests)),
+        _len_prefix(len(tail)), tail,
+    ))).digest())
 
 
 def merkle_root(leaves: Iterable[bytes | Hash]) -> Hash:
@@ -108,4 +158,4 @@ def merkle_root(leaves: Iterable[bytes | Hash]) -> Hash:
             hashlib.sha256(b"\x01" + level[i] + level[i + 1]).digest()
             for i in range(0, len(level), 2)
         ]
-    return Hash(level[0])
+    return _wrap_digest(level[0])

@@ -59,11 +59,20 @@ class ValidatorSet:
         return self.power_map().get(public_key, 0)
 
     def canonical_hash(self) -> Hash:
-        parts: list[bytes] = [b"valset"]
-        for public_key, power in self.members:
-            parts.append(bytes(public_key))
-            parts.append(power.to_bytes(8, "big"))
-        return hash_concat(*parts)
+        """The set's commitment, computed once per set.
+
+        Every header check and client update compares against it;
+        cached on the frozen instance like :meth:`power_map`.
+        """
+        cached = self.__dict__.get("_canonical_hash")
+        if cached is None:
+            parts: list[bytes] = [b"valset"]
+            for public_key, power in self.members:
+                parts.append(bytes(public_key))
+                parts.append(power.to_bytes(8, "big"))
+            cached = hash_concat(*parts)
+            object.__setattr__(self, "_canonical_hash", cached)
+        return cached
 
     def to_bytes(self) -> bytes:
         out = bytearray(encode_varint(len(self.members)))

@@ -12,37 +12,47 @@ from functools import lru_cache
 
 Nibbles = tuple[int, ...]
 
-#: Per-byte nibble pairs, so key expansion is one table lookup per byte
-#: instead of two shifts/masks (keys are hashed to 32 bytes, and every
-#: trie read, write, seal and proof expands one).
-_BYTE_NIBBLES = tuple((b >> 4, b & 0x0F) for b in range(256))
+#: ``bytes.translate`` tables between hex digits and nibble values, so
+#: both codecs run in C: a key's hex string *is* its nibble path, one
+#: digit per nibble.  Values 16..255 map to ``g``, which ``bytes.fromhex``
+#: rejects.
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_NIBBLE_TO_HEX = bytes(b"0123456789abcdef"[n] if n < 16 else ord("g")
+                       for n in range(256))
 
 
 @lru_cache(maxsize=65_536)
 def key_to_nibbles(key: bytes) -> Nibbles:
     """Expand a byte string into its nibble path (high nibble first).
 
-    Interned: provable stores hash every key to a fixed 32 bytes and the
-    relayer touches the same commitment keys many times per packet
-    (write, prove, ack, seal), so the expansion is memoized.
+    A miss translates ``key.hex()`` digit by digit in C.  Interned:
+    provable stores hash every key to a fixed 32 bytes and the relayer
+    touches the same commitment keys many times per packet (write,
+    prove, ack, seal), so the expansion is memoized.
     """
-    pairs = _BYTE_NIBBLES
-    return tuple(nibble for byte in key for nibble in pairs[byte])
+    return tuple(key.hex().encode("ascii").translate(_HEX_TO_NIBBLE))
 
 
 def nibbles_to_key(path: Nibbles) -> bytes:
-    """Pack an even-length nibble path back into bytes."""
+    """Pack an even-length nibble path back into bytes.
+
+    Raises :class:`ValueError` on an odd length or a nibble outside
+    ``range(16)``.
+    """
     if len(path) % 2:
         raise ValueError("cannot pack an odd number of nibbles into bytes")
-    out = bytearray()
-    for i in range(0, len(path), 2):
-        out.append((path[i] << 4) | path[i + 1])
-    return bytes(out)
+    return bytes.fromhex(bytes(path).translate(_NIBBLE_TO_HEX).decode("ascii"))
 
 
 def common_prefix_len(a: Nibbles, b: Nibbles) -> int:
-    """Length of the longest common prefix of two nibble paths."""
+    """Length of the longest common prefix of two nibble paths.
+
+    One slice comparison (in C) settles the common case, where one path
+    extends the other: every write that passes through an extension.
+    """
     n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return n
     for i in range(n):
         if a[i] != b[i]:
             return i
@@ -59,7 +69,8 @@ def encode_nibbles(path: Nibbles) -> bytes:
 
     Interned: node rebuilds along a mutated path re-encode the same
     (immutable) path tuples on every hash, and the pool of distinct
-    paths in a trie is small relative to how often each is encoded.
+    paths in a trie is small relative to how often each is encoded.  A
+    miss packs through :func:`nibbles_to_key`, in C.
     """
     header = bytes([len(path) % 2])
     padded = path if len(path) % 2 == 0 else path + (0,)

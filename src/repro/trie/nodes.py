@@ -19,7 +19,11 @@ never goes stale.  The same dirty-path discipline carries the *aggregate*
 caches: every node memoizes its subtree's ``(storage bytes, live nodes,
 sealed stubs)`` totals, so the per-execution state-budget check reads one
 cached tuple at the root instead of walking the whole trie — the walk
-that used to dominate the soak profile (docs/PERFORMANCE.md).
+that used to dominate the soak profile (docs/PERFORMANCE.md).  A branch
+rebuilt around one new child does not rescan its sixteen slots either:
+it inherits its predecessor's totals minus the replaced child and adds
+the new child back when first asked, so a write, delete or seal costs
+O(1) aggregate work per level.
 
 Leaf hashes commit to the *hash* of the value (:func:`value_commitment`)
 rather than the raw bytes.  That keeps sealed stubs *re-pathable*: a stub
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.crypto.hashing import Hash, hash_concat
+from repro.crypto.hashing import Hash, hash_concat, hash_digests
 from repro.trie.nibbles import Nibbles, encode_nibbles, encoded_nibbles_len
 
 _TAG_LEAF = b"\x00"
@@ -82,10 +86,9 @@ def extension_hash(path: Nibbles, child: Hash) -> Hash:
 
 
 def branch_hash(children: Sequence[Hash], value: Optional[bytes]) -> Hash:
-    parts: list[bytes | Hash] = [_TAG_BRANCH]
-    parts.extend(children)
-    parts.append(value if value is not None else _NO_VALUE)
-    return hash_concat(*parts)
+    """``hash_concat(_TAG_BRANCH, *children, value or _NO_VALUE)``."""
+    return hash_digests(_TAG_BRANCH, children,
+                        value if value is not None else _NO_VALUE)
 
 
 class LeafNode:
@@ -148,7 +151,7 @@ class ExtensionNode:
 class BranchNode:
     """A 16-way fan-out with an optional value terminating at the branch."""
 
-    __slots__ = ("children", "value", "_hash", "_child_hashes", "_agg")
+    __slots__ = ("children", "value", "_hash", "_child_hashes", "_agg", "_base")
 
     def __init__(self, children: Optional[list[Optional[Node]]] = None, value: Optional[bytes] = None) -> None:
         self.children: list[Optional[Node]] = children if children is not None else [None] * 16
@@ -160,6 +163,10 @@ class BranchNode:
         #: ``None`` holes (dirty slots from :meth:`replacing_child`).
         self._child_hashes: Optional[tuple[Hash, ...] | list[Optional[Hash]]] = None
         self._agg: Optional[tuple[int, int, int]] = None
+        #: Pending aggregates ``(storage, live, sealed, index)``: this
+        #: node's totals without slot ``index``'s child, which
+        #: :meth:`aggregates` adds back on first use.
+        self._base: Optional[tuple[int, int, int, int]] = None
 
     def replacing_child(self, index: int, child: Optional[Node]) -> "BranchNode":
         """A copy of this branch with one child slot replaced.
@@ -168,6 +175,9 @@ class BranchNode:
         sibling hashes are carried over from this node's cache (when
         warm) and only the dirty slot is recomputed — lazily, so a burst
         of writes to one subtree does not rehash intermediate states.
+        The aggregates carry over the same way: the copy inherits this
+        node's totals minus the replaced child (and its 32-byte slot)
+        and adds the new child back when first read.
         """
         children = list(self.children)
         children[index] = child
@@ -177,6 +187,25 @@ class BranchNode:
             patched: list[Optional[Hash]] = list(cached)
             patched[index] = None
             node._child_hashes = patched
+        base = self._base
+        if base is None:
+            agg = self._agg
+            if agg is None:  # never aggregated: the copy rescans if asked
+                return node
+        elif base[3] == index:
+            # The pending slot is replaced again: same base, no resolve.
+            node._base = base
+            return node
+        else:
+            agg = self.aggregates()
+        storage, live, sealed = agg
+        old = self.children[index]
+        if old is not None:
+            o_storage, o_live, o_sealed = old.aggregates()
+            storage -= o_storage + HASH_BYTES
+            live -= o_live
+            sealed -= o_sealed
+        node._base = (storage, live, sealed, index)
         return node
 
     def replacing_value(self, value: Optional[bytes]) -> "BranchNode":
@@ -184,10 +213,19 @@ class BranchNode:
 
         The children are untouched, so the child-hash cache transfers
         wholesale (the holes of a partially valid cache, if any, are
-        filled lazily by :meth:`child_hashes`).
+        filled lazily by :meth:`child_hashes`), and the aggregates
+        shift by the value-length delta.
         """
         node = BranchNode(list(self.children), value)
         node._child_hashes = self._child_hashes
+        delta = ((len(value) if value is not None else 0)
+                 - (len(self.value) if self.value is not None else 0))
+        agg = self._agg
+        if agg is not None:
+            node._agg = (agg[0] + delta, agg[1], agg[2])
+        elif self._base is not None:
+            storage, live, sealed, index = self._base
+            node._base = (storage + delta, live, sealed, index)
         return node
 
     def child_hashes(self) -> tuple[Hash, ...]:
@@ -222,10 +260,15 @@ class BranchNode:
         return self._hash
 
     def child_count(self) -> int:
-        return sum(1 for child in self.children if child is not None)
+        return 16 - self.children.count(None)
 
     def live_child_count(self) -> int:
-        """Children that are present and not sealed."""
+        """Children that are present and not sealed.
+
+        The trie itself asks the O(1) equivalent ``aggregates()[1] == 1``
+        (the subtree's only live node is the branch); this slot scan is
+        the oracle the property tests hold that against.
+        """
         return sum(
             1 for child in self.children
             if child is not None and not isinstance(child, SealedNode)
@@ -242,7 +285,20 @@ class BranchNode:
                 + self.child_count() * HASH_BYTES + value_bytes)
 
     def aggregates(self) -> tuple[int, int, int]:
-        if self._agg is None:
+        agg = self._agg
+        if agg is not None:
+            return agg
+        base = self._base
+        if base is not None:
+            storage, live, sealed, index = base
+            child = self.children[index]
+            if child is not None:
+                c_storage, c_live, c_sealed = child.aggregates()
+                storage += c_storage + HASH_BYTES
+                live += c_live
+                sealed += c_sealed
+            self._base = None
+        else:
             storage = self.storage_bytes()
             live = 1
             sealed = 0
@@ -252,8 +308,8 @@ class BranchNode:
                     storage += c_storage
                     live += c_live
                     sealed += c_sealed
-            self._agg = (storage, live, sealed)
-        return self._agg
+        agg = self._agg = (storage, live, sealed)
+        return agg
 
     def __repr__(self) -> str:
         slots = "".join("x" if c is not None else "." for c in self.children)
@@ -324,7 +380,11 @@ class SealedNode:
 
     @classmethod
     def of_leaf(cls, leaf: "LeafNode") -> "SealedNode":
-        return cls(leaf.path, cls.LEAF, core=value_commitment(leaf.value))
+        stub = cls(leaf.path, cls.LEAF, core=value_commitment(leaf.value))
+        # Same path, same commitment: the stub hashes exactly like the
+        # leaf, so a hash the leaf already computed carries over.
+        stub._hash = leaf._hash
+        return stub
 
     @classmethod
     def of_branch(cls, branch: "BranchNode") -> "SealedNode":

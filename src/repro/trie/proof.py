@@ -42,6 +42,11 @@ from repro.trie.nodes import (
 )
 
 
+#: The zero digest's bytes: the hash-set codec tests slots against them
+#: with a plain ``bytes`` comparison, not a ``Hash.__eq__`` call.
+_ZERO_BYTES = Hash.zero().value
+
+
 def _leaf_hash(path: Nibbles, value: bytes) -> Hash:
     """Leaf hash from the *raw* value proofs carry on the wire."""
     return leaf_hash(path, value_commitment(value))
@@ -77,8 +82,8 @@ class BranchStep:
             raise ProofError("branch step must carry exactly 15 sibling hashes")
 
     def parent_hash(self, child: Hash) -> Hash:
-        children = list(self.siblings[: self.index]) + [child] + list(self.siblings[self.index:])
-        return _branch_hash(children, self.value)
+        siblings, index = self.siblings, self.index
+        return _branch_hash(siblings[:index] + (child,) + siblings[index:], self.value)
 
 
 Step = Union[ExtensionStep, BranchStep]
@@ -262,15 +267,14 @@ def _write_hash_set(out: bytearray, hashes: tuple[Hash, ...]) -> None:
     transactions a delivery needs, so this is a direct fee/throughput
     win (§V-A).
     """
-    zero = Hash.zero()
     bitmap = 0
-    for i, value in enumerate(hashes):
-        if value != zero:
+    for i, h in enumerate(hashes):
+        if h.value != _ZERO_BYTES:
             bitmap |= 1 << i
     out += bitmap.to_bytes(2, "big")
-    for i, value in enumerate(hashes):
+    for i, h in enumerate(hashes):
         if bitmap >> i & 1:
-            out += value.value
+            out += h.value
 
 
 def _decode_hash_set(reader: Reader, count: int) -> tuple[Hash, ...]:

@@ -12,6 +12,8 @@ self-contained: (root, path, value, proof) suffices.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.crypto.hashing import Hash, hash_bytes
 from repro.trie.proof import MembershipProof, NonMembershipProof, verify_membership, verify_non_membership
 from repro.trie.trie import SealableTrie
@@ -36,7 +38,14 @@ def seq_key(prefix: str, sequence: int) -> bytes:
     """
     if sequence < 0 or sequence >= 1 << 64:
         raise ValueError("sequence out of range for 8-byte encoding")
-    return bytes(hash_bytes(prefix.encode("utf-8")))[:24] + sequence.to_bytes(8, "big")
+    return _seq_prefix(prefix) + sequence.to_bytes(8, "big")
+
+
+@lru_cache(maxsize=4_096)
+def _seq_prefix(prefix: str) -> bytes:
+    """``H(prefix)[:24]``, memoized: a channel's few prefixes are hashed
+    once instead of on every sequenced write, delete, seal and proof."""
+    return bytes(hash_bytes(prefix.encode("utf-8")))[:24]
 
 
 class ProvableStore:

@@ -363,23 +363,22 @@ class SealableTrie:
         Takes (and may return) the already-rebuilt branch so its carried
         child-hash cache survives when no collapse applies.
         """
-        children = branch.children
-        occupied = [i for i, child in enumerate(children) if child is not None]
+        occupied = branch.child_count()
         if branch.value is not None:
             if not occupied:
                 return LeafNode((), branch.value)
             return branch
         if not occupied:
             return None
-        if len(occupied) == 1:
-            index = occupied[0]
-            only = children[index]
-            assert only is not None
-            return self._merge_extension((index,), only)
-        if branch.live_child_count() == 0:
-            # Every remaining occupant is sealed (e.g. the one live leaf
-            # of a re-materialized sealed branch was deleted): collapse
-            # back into a branch stub.  Hash-neutral, but the branch node
+        if occupied == 1:
+            for index, only in enumerate(branch.children):
+                if only is not None:
+                    return self._merge_extension((index,), only)
+        if branch.aggregates()[1] == 1:
+            # The branch is its subtree's only live node, so every
+            # remaining occupant is sealed (e.g. the one live leaf of a
+            # re-materialized sealed branch was deleted): collapse back
+            # into a branch stub.  Hash-neutral, but the branch node
             # leaves storage again.
             return SealedNode.of_branch(branch)
         return branch
@@ -434,7 +433,10 @@ class SealableTrie:
             )
         sealed_child = self._seal(node.children[path[0]], path[1:], key)
         branch = node.replacing_child(path[0], sealed_child)
-        if branch.value is None and branch.live_child_count() == 0:
+        # Once the new child is sealed, one live node in the subtree (the
+        # branch itself) means every occupant is: fold into a stub.
+        if (branch.value is None and isinstance(sealed_child, SealedNode)
+                and branch.aggregates()[1] == 1):
             return SealedNode.of_branch(branch)
         return branch
 

@@ -1,10 +1,14 @@
 """Unit tests for repro.crypto.hashing."""
 
 import hashlib
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.crypto.hashing import Hash, hash_bytes, hash_concat, merkle_root
+from repro.crypto.hashing import Hash, hash_bytes, hash_concat, hash_digests, merkle_root
+from repro.trie.nodes import _NO_VALUE, _TAG_BRANCH, branch_hash
 
 
 class TestHash:
@@ -22,6 +26,11 @@ class TestHash:
         with pytest.raises(ValueError):
             Hash("0" * 64)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("raw", [b"\0" * 31, b"\0" * 33, b"", "str", bytearray(32)])
+    def test_constructor_keeps_validation(self, raw):
+        with pytest.raises(ValueError):
+            Hash(raw)  # type: ignore[arg-type]
+
     def test_equality_and_hashability(self):
         a = Hash.of(b"x")
         b = Hash.of(b"x")
@@ -36,6 +45,62 @@ class TestHash:
         h = Hash.of(b"data")
         assert h.hex() == h.value.hex()
         assert h.hex().startswith(h.short())
+
+
+class TestDigestFastPath:
+    """Digests computed in ``repro.crypto.hashing`` skip the constructor's
+    check; the objects must be indistinguishable from validated ones."""
+
+    def fast_hashes(self):
+        return [
+            Hash.of(b"data"),
+            hash_bytes(b"data"),
+            hash_concat(b"tag", b"data"),
+            hash_digests(b"tag", (Hash.of(b"a"), Hash.of(b"b")), b"tail"),
+            merkle_root([b"a", b"b", b"c"]),
+        ]
+
+    def test_equal_to_and_hashes_like_validated(self):
+        for fast in self.fast_hashes():
+            validated = Hash(bytes(fast.value))
+            assert type(fast) is Hash
+            assert fast == validated and validated == fast
+            assert hash(fast) == hash(validated)
+            assert len(fast.value) == 32
+
+    def test_dict_lookup_by_validated_hash_hits(self):
+        table = {fast: i for i, fast in enumerate(self.fast_hashes())}
+        for fast, i in list(table.items()):
+            assert table.get(Hash(bytes(fast))) == i
+
+    def test_fast_path_hash_is_frozen(self):
+        fast = Hash.of(b"data")
+        with pytest.raises(FrozenInstanceError):
+            fast.value = bytes(32)  # type: ignore[misc]
+
+
+digests = st.binary(min_size=32, max_size=32).map(Hash)
+tails = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=1),
+    st.binary(min_size=256, max_size=300),
+    st.binary(max_size=64),
+)
+
+
+@given(st.one_of(st.binary(max_size=4), st.binary(min_size=256, max_size=260)),
+       st.lists(digests, max_size=17), tails)
+def test_hash_digests_equals_hash_concat(tag, ds, tail):
+    expected = hash_concat(tag, *ds, tail)
+    assert hash_digests(tag, ds, tail) == expected
+    assert hash_digests(tag, tuple(ds), tail) == expected
+
+
+@given(st.lists(digests, min_size=16, max_size=16), st.one_of(st.none(), tails))
+def test_branch_hash_preimage_is_hash_concat(children, value):
+    """``None`` (no branch value) hashes as the ``_NO_VALUE`` marker."""
+    tail = value if value is not None else _NO_VALUE
+    assert branch_hash(children, value) == hash_concat(_TAG_BRANCH, *children, tail)
 
 
 class TestHashConcat:

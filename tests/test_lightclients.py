@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.hashing import Hash
+from repro.crypto.hashing import Hash, hash_concat
 from repro.crypto.simsig import SimSigScheme
 from repro.errors import ClientError, EvidenceError
 from repro.guest.block import GuestBlockHeader
@@ -318,6 +318,41 @@ class TestTendermintLightClient:
         update = self.make_update(keys, valset)
         restored = LightClientUpdate.from_bytes(update.to_bytes())
         assert restored == update
+
+
+class TestValidatorSetHash:
+    @staticmethod
+    def recompute(valset):
+        parts = [b"valset"]
+        for public_key, power in valset.members:
+            parts += [bytes(public_key), power.to_bytes(8, "big")]
+        return hash_concat(*parts)
+
+    def test_cached_hash_equals_fresh_recompute(self, scheme):
+        valset = ValidatorSet(members=tuple(
+            (kp.public_key, 100 + i) for i, kp in enumerate(make_keys(scheme, 5))))
+        first = valset.canonical_hash()
+        assert first == self.recompute(valset)
+        assert valset.canonical_hash() is first
+        # Equality, hashing and the wire form still see only ``members``.
+        twin = ValidatorSet(members=valset.members)
+        assert twin == valset and hash(twin) == hash(valset)
+        assert twin.canonical_hash() == first
+        assert twin.to_bytes() == valset.to_bytes()
+
+    def test_different_members_never_share_a_hash(self, scheme):
+        keys = make_keys(scheme, 4)
+        sets = [
+            ValidatorSet(members=()),
+            ValidatorSet(members=tuple((kp.public_key, 100) for kp in keys)),
+            ValidatorSet(members=tuple((kp.public_key, 100) for kp in keys[:3])),
+            ValidatorSet(members=tuple((kp.public_key, 100) for kp in reversed(keys))),
+            ValidatorSet(members=tuple((kp.public_key, 101) for kp in keys)),
+            ValidatorSet(members=tuple((kp.public_key, 100) for kp in make_keys(scheme, 4, salt=1))),
+        ]
+        hashes = [valset.canonical_hash() for valset in sets]
+        assert len(set(hashes)) == len(sets)
+        assert hashes == [self.recompute(valset) for valset in sets]
 
 
 # ---------------------------------------------------------------------------

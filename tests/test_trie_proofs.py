@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from repro.crypto.hashing import Hash
-from repro.errors import SealedNodeError, TrieError
+from repro.errors import ProofError, SealedNodeError, TrieError
 from repro.trie import (
     MembershipProof,
     NonMembershipProof,
@@ -96,6 +96,22 @@ class TestMembershipProofs:
         except ValueError:
             return  # malformed wire data is an acceptable failure
         assert not verify_membership(populated.root_hash, restored)
+
+
+    def test_truncated_hash_set_rejected(self, populated):
+        """Cutting a proof anywhere, including inside a sibling hash
+        set, must fail to decode: digests read from the wire go through
+        the validated ``Hash`` constructor."""
+        proofs = [
+            (MembershipProof, populated.prove(key(5))),
+            (NonMembershipProof, populated.prove_absence(key(999))),
+        ]
+        for cls, proof in proofs:
+            data = proof.to_bytes()
+            assert cls.from_bytes(data) == proof
+            for cut in range(len(data)):
+                with pytest.raises((ValueError, ProofError)):
+                    cls.from_bytes(data[:cut])
 
 
 class TestNonMembershipProofs:

@@ -7,17 +7,18 @@ never changes the root; proofs cannot be transplanted or tampered with.
 
 import hashlib
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import Hash
-from repro.errors import KeyNotFoundError, SealedNodeError
+from repro.errors import KeyNotFoundError, SealedNodeError, TrieError
 from repro.trie import (
     MembershipProof,
     SealableTrie,
     verify_membership,
     verify_non_membership,
 )
+from repro.trie.nodes import BranchNode
 
 # Hashed 32-byte keys, like the provable stores use.
 keys = st.binary(min_size=1, max_size=8).map(lambda b: hashlib.sha256(b).digest())
@@ -332,6 +333,82 @@ def test_cached_aggregates_survive_sequenced_churn(window, total):
                 trie.seal(seq_key(j))
         assert (trie.storage_bytes(), trie.node_count(),
                 trie.sealed_count()) == trie.recount_aggregates()
+
+
+# Short raw (not hashed) keys that are prefixes of one another, so values
+# end at branches: this drives ``replacing_value``, branch values and
+# prefix-key leaf splits through the incremental aggregate path.
+_PREFIX_POOL = [b""] + [bytes(k) for k in (
+    (0x01,), (0x10,), (0x12,), (0x20,), (0x01, 0x10), (0x01, 0x12), (0x10, 0x01),
+    (0x12, 0x12), (0x01, 0x10, 0x01), (0x12, 0x12, 0x10))]
+
+_prefix_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(_PREFIX_POOL),
+                  st.binary(min_size=0, max_size=40)),
+        st.tuples(st.just("delete"), st.sampled_from(_PREFIX_POOL)),
+        st.tuples(st.just("seal"), st.sampled_from(_PREFIX_POOL)),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def _apply(trie, op) -> None:
+    """Run one op; a refused op (absent, sealed, branch-value seal)
+    raises before the root is replaced, so it leaves the trie as is."""
+    try:
+        if op[0] == "set":
+            trie.set(op[1], op[2])
+        elif op[0] == "delete":
+            trie.delete(op[1])
+        else:
+            trie.seal(op[1])
+    except TrieError:
+        pass
+
+
+def _assert_aggregates_match(trie) -> None:
+    assert (trie.storage_bytes(), trie.node_count(),
+            trie.sealed_count()) == trie.recount_aggregates()
+    for node in trie._iter_live_nodes():
+        if isinstance(node, BranchNode):
+            assert (node.aggregates()[1] == 1) == (node.live_child_count() == 0)
+            # A value-less branch whose occupants are all sealed folds
+            # into a stub, so a live one always keeps a live child.
+            if node.value is None:
+                assert node.live_child_count() > 0
+            assert node.child_count() == sum(
+                1 for child in node.children if child is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prefix_ops)
+@example([("set", b"\x01", b"a"), ("set", b"\x10", b"b"), ("seal", b"\x01"),
+          ("seal", b"\x10"), ("set", b"\x20", b"c"), ("delete", b"\x20")])
+def test_cached_aggregates_with_prefix_keys(ops):
+    """Cached aggregates equal a full recount after every op, and the
+    O(1) all-sealed test agrees with the slot-scan oracle on every
+    branch."""
+    trie = SealableTrie()
+    for op in ops:
+        _apply(trie, op)
+        _assert_aggregates_match(trie)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_ops, _prefix_ops), st.integers(min_value=1, max_value=5))
+@example([("set", b"\x01", b"a"), ("set", b"\x10", b"b"), ("set", b"\x12", b"c"),
+          ("set", b"", b"root value"), ("delete", b""), ("seal", b"\x12")], 2)
+def test_cached_aggregates_across_unread_bursts(ops, read_every):
+    """Ops between reads leave branches with pending (unresolved)
+    aggregates that the next op must carry or resolve; the totals
+    still equal a full recount whenever they are read."""
+    trie = SealableTrie()
+    for i, op in enumerate(ops):
+        _apply(trie, op)
+        if i % read_every == read_every - 1:
+            _assert_aggregates_match(trie)
+    _assert_aggregates_match(trie)
 
 
 def _expect(error, thunk):

@@ -2,6 +2,8 @@
 the edge cases of splitting/merging paths."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.crypto.hashing import Hash
 from repro.trie import SealableTrie, verify_membership, verify_non_membership
@@ -27,10 +29,54 @@ class TestNibbles:
         with pytest.raises(ValueError):
             nibbles_to_key((1, 2, 3))
 
+    def test_roundtrip_every_key_length(self):
+        for length in range(65):
+            key = bytes((7 * i + length) % 256 for i in range(length))
+            path = key_to_nibbles(key)
+            assert len(path) == 2 * length
+            assert all(0 <= nibble < 16 for nibble in path)
+            assert nibbles_to_key(path) == key
+
+    def test_roundtrip_every_byte_value(self):
+        key = bytes(range(256))
+        assert key_to_nibbles(key) == tuple(
+            nibble for byte in key for nibble in (byte >> 4, byte & 0x0F))
+        assert nibbles_to_key(key_to_nibbles(key)) == key
+
+    @pytest.mark.parametrize("path", [(16, 0), (0, 16), (1, 2, 0, 16), (0, 255), (0, 256), (0, -1)])
+    def test_nibble_out_of_range_rejected(self, path):
+        with pytest.raises(ValueError):
+            nibbles_to_key(path)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_encoding_roundtrip_every_short_odd_path(self, length):
+        for code in range(16 ** length):
+            path = tuple(code >> (4 * i) & 0xF for i in range(length))
+            encoded = encode_nibbles(path)
+            assert encoded[0] == 1 and len(encoded) == 1 + (length + 1) // 2
+            assert decode_nibbles(encoded) == path
+
+    @given(st.integers(min_value=0, max_value=63).flatmap(
+        lambda half: st.lists(st.integers(0, 15), min_size=2 * half + 1,
+                              max_size=2 * half + 1).map(tuple)))
+    def test_encoding_roundtrip_odd_paths(self, path):
+        assert decode_nibbles(encode_nibbles(path)) == path
+
     def test_common_prefix(self):
         assert common_prefix_len((1, 2, 3), (1, 2, 9)) == 2
         assert common_prefix_len((), (1,)) == 0
         assert common_prefix_len((5,), (5,)) == 1
+
+    @given(st.lists(st.integers(0, 15), max_size=70).map(tuple),
+           st.lists(st.integers(0, 15), max_size=70).map(tuple),
+           st.integers(0, 70))
+    def test_common_prefix_matches_scan(self, a, b, shared):
+        b = a[:shared] + b  # make long common prefixes likely
+        expected = 0
+        while expected < min(len(a), len(b)) and a[expected] == b[expected]:
+            expected += 1
+        assert common_prefix_len(a, b) == expected
+        assert common_prefix_len(b, a) == expected
 
     @pytest.mark.parametrize("path", [(), (1,), (1, 2), (0xF,) * 7, (0, 0, 0)])
     def test_encoding_roundtrip(self, path):
